@@ -73,11 +73,16 @@ cargo run -q -p proxy-bench --bin figures --release -- --revocation-smoke \
 # Durable accounting (DESIGN.md §15): crash-injection suite in release
 # mode — exactly-once deposits across kill points, torn-tail recovery,
 # bit-flip fail-closed, conservation across repeated restarts — plus the
-# WAL framing property/hostile-corpus suite. Then a reduced-scale group
-# commit smoke (gate: batched fsync ≥ 3× fsync-per-record; the full 5×
-# gate runs via `figures --wal`). The gate compares throughput ratios on
-# real fsyncs, so one retry absorbs a noisy-neighbor window.
+# event loop's per-wakeup durability barrier over real TCP (no success
+# reply before the fsync covering it, none at all from a wakeup whose
+# barrier failed, fewer fsync waits than pipelined deposits, none for
+# queries) and the WAL framing property/hostile-corpus suite. Then a
+# reduced-scale group commit smoke (gate: batched fsync ≥ 3×
+# fsync-per-record; the full 5× gate runs via `figures --wal`). The gate
+# compares throughput ratios on real fsyncs, so one retry absorbs a
+# noisy-neighbor window.
 cargo test --release -q --test storage_crash
+cargo test --release -q --test durable_barrier
 cargo test --release -q -p proxy-storage --test framing
 cargo run -q -p proxy-bench --bin figures --release -- --wal-smoke \
     || cargo run -q -p proxy-bench --bin figures --release -- --wal-smoke

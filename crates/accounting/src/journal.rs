@@ -5,9 +5,19 @@
 //! than* the moment its in-memory effect becomes visible: records are
 //! staged inside the same shard-lock critical section that validates and
 //! applies the mutation, so the log's record order agrees with memory
-//! order for non-commuting operations. The fsync wait happens after the
-//! lock is released, where [`proxy_storage::WalStorage`]'s group-commit
-//! batcher amortizes it across concurrent requests.
+//! order for non-commuting operations.
+//!
+//! The fsync wait is separate from the operation. Each durable
+//! operation has one body that stages, applies, and returns a
+//! [`Staged`] value carrying the ticket it still owes; its public
+//! wrapper waits on that ticket, so in-process callers see the result
+//! only once it is durable. A caller that acknowledges many operations
+//! at once (the event-loop server, per wakeup) instead collects the
+//! owed tickets and waits once on the highest: one fsync covers the
+//! whole batch, and no acknowledgement leaves before it. Either way
+//! the wait happens after every lock is released, where
+//! [`proxy_storage::WalStorage`]'s group commit also batches
+//! concurrent waiters.
 //!
 //! Records are **redo records of committed mutations, not request
 //! inputs**: recovery re-applies balance movements and replay-guard
@@ -19,9 +29,11 @@
 //! [`SnapshotState`] is the compacted whole-server state the journal
 //! periodically installs ([`Journal::compact`]) so recovery replays a
 //! bounded suffix. Compaction excludes concurrent operations with a
-//! reader-writer gate: operations hold the gate in read mode for their
-//! whole critical path ([`Journal::begin`]), compaction takes it in
-//! write mode while it enumerates and installs.
+//! reader-writer gate: operations hold the gate in read mode from
+//! stage through their last mutation ([`Journal::begin`]), compaction
+//! takes it in write mode while it enumerates and installs. Installing
+//! a snapshot makes every staged record durable, so an operation may
+//! release the gate before its durability wait.
 //!
 //! The journal is **fail-stop**: the first storage failure (or injected
 //! crash point) poisons it, and every later operation returns
@@ -31,7 +43,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 
-use proxy_storage::{Storage, StorageError, Ticket};
+use proxy_storage::{Storage, StorageError};
+
+pub use proxy_storage::Ticket;
 use restricted_proxy::encode::{Decoder, Encoder};
 use restricted_proxy::principal::PrincipalId;
 use restricted_proxy::replay::{ReplayCache, ReplayGuard};
@@ -473,12 +487,38 @@ impl SnapshotState {
     }
 }
 
-/// The guard an operation holds for its whole durable critical path
-/// (stage inside the shard lock, fsync wait outside): its existence
-/// excludes compaction, which needs the matching write side.
-#[must_use = "the operation must hold its journal guard until the fsync wait completes"]
+/// The guard an operation holds from before its first `stage` until
+/// after its last mutation: its existence excludes compaction, which
+/// needs the matching write side, so a snapshot never sees a record
+/// staged without its mutation (or the reverse).
+///
+/// The guard may drop before the durability wait. A compaction that
+/// slips in between the drop and the wait installs a snapshot holding
+/// the mutation, and [`Storage::install_snapshot`] makes every record
+/// staged before it durable before it returns, so the wait still
+/// finds the ticket durable.
+#[must_use = "the operation must hold its journal guard until its last mutation is applied"]
 #[derive(Debug)]
 pub struct OpGuard<'a>(#[allow(dead_code)] RwLockReadGuard<'a, ()>);
+
+/// The result of a durable operation whose journal record is staged
+/// and whose mutation is applied, but whose durability nobody has
+/// waited for yet. `owed` is the ticket the caller must see durable
+/// ([`Journal::wait`]) before it acknowledges `value` to anyone.
+///
+/// Waiting on a ticket makes every record staged before it durable as
+/// well (the log is one ordered sequence), so a caller holding many
+/// `Staged` results can settle them all with one wait on the highest
+/// ticket among them: the event-loop server does this once per wakeup.
+#[must_use = "a staged result must not be acknowledged before its ticket is durable"]
+#[derive(Debug)]
+pub struct Staged<T> {
+    /// The operation's result.
+    pub value: T,
+    /// The ticket still owed; `None` when nothing was journaled (a
+    /// memory-only server).
+    pub owed: Option<Ticket>,
+}
 
 /// The durable journal: a [`Storage`] backend plus the compaction gate
 /// and the fail-stop poison latch.
@@ -543,8 +583,10 @@ impl Journal {
     }
 
     /// Opens an operation's critical path: checks the poison latch and
-    /// takes the compaction gate in read mode. Hold the guard until
-    /// after [`Self::wait`] returns.
+    /// takes the compaction gate in read mode. Hold the guard from
+    /// before the first [`Self::stage`] until every mutation the staged
+    /// records describe is applied; it may drop before [`Self::wait`]
+    /// (see [`OpGuard`]).
     ///
     /// # Errors
     ///
@@ -578,8 +620,9 @@ impl Journal {
         }
     }
 
-    /// Blocks until the staged record is durable. Call after releasing
-    /// the shard lock, while still holding the [`OpGuard`].
+    /// Blocks until the staged record, and every record staged before
+    /// it, is durable. Call after releasing the shard lock; the
+    /// [`OpGuard`] need not be held.
     ///
     /// # Errors
     ///

@@ -48,5 +48,5 @@ pub use account::{Account, Hold};
 pub use check::{account_object, debit_op, write_check, Check, CheckInfo};
 pub use clearing::{ClearingHouse, ClearingReport};
 pub use error::AcctError;
-pub use journal::{Journal, JournalRecord, SnapshotState};
+pub use journal::{Journal, JournalRecord, SnapshotState, Staged, Ticket};
 pub use server::{AccountMut, AccountingServer, DepositOutcome, Payment};

@@ -28,6 +28,7 @@ use crate::check::{account_object, debit_op, Check, CheckInfo};
 use crate::error::AcctError;
 use crate::journal::{
     Journal, JournalRecord, JournaledReplay, OpGuard, PendingDeposit, ReplayMark, SnapshotState,
+    Staged, Ticket,
 };
 
 /// The reserved account cashier's checks are drawn from.
@@ -147,8 +148,10 @@ impl AccountingServer {
     ///
     /// Call after [`Self::with_replay_capacity`] (recovered marks land
     /// in the final guard) and before opening accounts, so a fresh
-    /// boot's setup is journaled too. The TCP/event-loop paths are
-    /// unchanged: durability is purely a constructor option.
+    /// boot's setup is journaled too. Durability is purely a
+    /// constructor option: the same methods serve a memory-only and a
+    /// durable server, and the `*_staged` variants owe no ticket on the
+    /// former.
     ///
     /// # Errors
     ///
@@ -269,6 +272,37 @@ impl AccountingServer {
     /// server is memory-only.
     fn op_guard(&self) -> Result<Option<OpGuard<'_>>, AcctError> {
         self.journal.as_ref().map(Journal::begin).transpose()
+    }
+
+    /// Stages `rec` when this server has a journal; the owed ticket, if
+    /// any, goes into the operation's [`Staged`] result.
+    fn stage(&self, rec: &JournalRecord) -> Result<Option<Ticket>, AcctError> {
+        self.journal.as_ref().map(|j| j.stage(rec)).transpose()
+    }
+
+    /// Blocks until `ticket`, and every journal record staged before it,
+    /// is durable: the barrier a caller holding [`Staged`] results
+    /// (from [`Self::deposit_staged`] and its siblings) passes before it
+    /// acknowledges any of them. A no-op on a memory-only server.
+    ///
+    /// # Errors
+    ///
+    /// [`AcctError::Storage`] when the flush fails. The journal is then
+    /// poisoned (fail-stop) and no staged result may be acknowledged.
+    pub fn wait_durable(&self, ticket: Ticket) -> Result<(), AcctError> {
+        match &self.journal {
+            Some(j) => j.wait(ticket),
+            None => Ok(()),
+        }
+    }
+
+    /// Waits out a staged operation's owed ticket and hands back its
+    /// value: the public wrappers' half of each durable operation.
+    fn redeem<T>(&self, staged: Staged<T>) -> Result<T, AcctError> {
+        if let Some(t) = staged.owed {
+            self.wait_durable(t)?;
+        }
+        Ok(staged.value)
     }
 
     /// Installs a compacted snapshot of the whole server state,
@@ -605,28 +639,29 @@ impl AccountingServer {
         let payment = self.settle(check, presenter, now, None)?;
         drop(guard);
         self.maybe_compact()?;
-        Ok(payment)
+        self.redeem(payment)
     }
 
     /// Settles a check drawn here: verify, debit the payor (hold or
     /// balance), and optionally credit `credit_to` (the same-server
-    /// deposit path). The caller holds the journal's [`OpGuard`].
+    /// deposit path). The caller holds the journal's [`OpGuard`] and
+    /// owes the returned ticket.
     fn settle(
         &self,
         check: &Check,
         presenter: &PrincipalId,
         now: Timestamp,
         credit_to: Option<&str>,
-    ) -> Result<Payment, AcctError> {
+    ) -> Result<Staged<Payment>, AcctError> {
         let (info, marks) = self.verify_check(check, presenter, now)?;
         // Ownership check, hold-taking, and debit are one atomic step
         // under the payor account's shard lock: racing presenters cannot
         // interleave between the balance check and the debit. With a
         // journal attached, the Settle record is staged inside the same
         // critical section — after validation, before the mutation — so
-        // log order agrees with memory order; the fsync wait happens
-        // after the lock is released.
-        let mut ticket = None;
+        // log order agrees with memory order; the fsync wait is the
+        // caller's, after the lock is released.
+        let mut owed = None;
         self.accounts.update(&info.payor_account, |account| {
             let account =
                 account.ok_or_else(|| AcctError::UnknownAccount(info.payor_account.clone()))?;
@@ -651,17 +686,15 @@ impl AccountingServer {
                     false
                 }
             };
-            if let Some(j) = &self.journal {
-                ticket = Some(j.stage(&JournalRecord::Settle {
-                    payor_account: info.payor_account.clone(),
-                    check_no: info.check_no,
-                    currency: info.currency.clone(),
-                    amount: info.amount,
-                    from_hold,
-                    credit_to: credit_to.map(str::to_string),
-                    replay: marks.clone(),
-                })?);
-            }
+            owed = self.stage(&JournalRecord::Settle {
+                payor_account: info.payor_account.clone(),
+                check_no: info.check_no,
+                currency: info.currency.clone(),
+                amount: info.amount,
+                from_hold,
+                credit_to: credit_to.map(str::to_string),
+                replay: marks.clone(),
+            })?;
             if from_hold {
                 account.take_hold(info.check_no);
             } else {
@@ -679,14 +712,14 @@ impl AccountingServer {
                     .map(|a| a.credit(info.currency.clone(), info.amount))
             })?;
         }
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
-        }
-        Ok(Payment {
-            payor: info.payor,
-            check_no: info.check_no,
-            currency: info.currency,
-            amount: info.amount,
+        Ok(Staged {
+            value: Payment {
+                payor: info.payor,
+                check_no: info.check_no,
+                currency: info.currency,
+                amount: info.amount,
+            },
+            owed,
         })
     }
 
@@ -708,6 +741,26 @@ impl AccountingServer {
         now: Timestamp,
         rng: &mut R,
     ) -> Result<DepositOutcome, AcctError> {
+        let staged = self.deposit_staged(check, depositor, to_account, next_hop, now, rng)?;
+        self.redeem(staged)
+    }
+
+    /// [`Self::deposit`] without the durability wait: the deposit is
+    /// journaled and applied, and the caller owes the returned ticket
+    /// ([`Self::wait_durable`]) before it may acknowledge the outcome.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::deposit`], except that no flush failure is reported.
+    pub fn deposit_staged<R: RngCore>(
+        &self,
+        check: &Check,
+        depositor: &PrincipalId,
+        to_account: &str,
+        next_hop: PrincipalId,
+        now: Timestamp,
+        rng: &mut R,
+    ) -> Result<Staged<DepositOutcome>, AcctError> {
         if !self.accounts.contains_key(&to_account.to_string()) {
             return Err(AcctError::UnknownAccount(to_account.to_string()));
         }
@@ -727,7 +780,10 @@ impl AccountingServer {
             let payment = self.settle(check, depositor, now, Some(to_account))?;
             drop(guard);
             self.maybe_compact()?;
-            return Ok(DepositOutcome::Settled(payment));
+            return Ok(Staged {
+                value: DepositOutcome::Settled(payment.value),
+                owed: payment.owed,
+            });
         }
         // Credit as uncollected and endorse toward the drawee. The
         // DepositPending record is staged *before* the uncollected entry
@@ -738,17 +794,14 @@ impl AccountingServer {
             .proxy
             .effective_validity()
             .ok_or(AcctError::MalformedCheck("validity"))?;
-        let mut ticket = None;
-        if let Some(j) = &self.journal {
-            ticket = Some(j.stage(&JournalRecord::DepositPending {
-                payor: info.payor.clone(),
-                check_no: info.check_no,
-                to_account: to_account.to_string(),
-                currency: info.currency.clone(),
-                amount: info.amount,
-                serial,
-            })?);
-        }
+        let owed = self.stage(&JournalRecord::DepositPending {
+            payor: info.payor.clone(),
+            check_no: info.check_no,
+            to_account: to_account.to_string(),
+            currency: info.currency.clone(),
+            amount: info.amount,
+            serial,
+        })?;
         self.uncollected.insert(
             (info.payor.clone(), info.check_no),
             Uncollected {
@@ -766,14 +819,14 @@ impl AccountingServer {
             serial,
             rng,
         )?;
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
-        }
         drop(guard);
         self.maybe_compact()?;
-        Ok(DepositOutcome::Forwarded {
-            check: endorsed,
-            next_hop,
+        Ok(Staged {
+            value: DepositOutcome::Forwarded {
+                check: endorsed,
+                next_hop,
+            },
+            owed,
         })
     }
 
@@ -789,17 +842,33 @@ impl AccountingServer {
         next_hop: PrincipalId,
         rng: &mut R,
     ) -> Result<Check, AcctError> {
+        let staged = self.forward_staged(check, next_hop, rng)?;
+        self.redeem(staged)
+    }
+
+    /// [`Self::forward`] without the durability wait; the caller owes
+    /// the returned ticket ([`Self::wait_durable`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::forward`], except that no flush failure is reported.
+    pub fn forward_staged<R: RngCore>(
+        &self,
+        check: &Check,
+        next_hop: PrincipalId,
+        rng: &mut R,
+    ) -> Result<Staged<Check>, AcctError> {
         let guard = self.op_guard()?;
         let serial = self.take_serial();
         let window = check
             .proxy
             .effective_validity()
             .ok_or(AcctError::MalformedCheck("validity"))?;
-        // Endorse before committing: signing is the fallible step, and
-        // once Forward{serial} is durable the operation must not fail —
+        // Endorse before staging: signing is the fallible step, and
+        // once Forward{serial} is staged the operation must not fail —
         // recovery replays the serial advance whether or not the caller
         // ever saw the endorsed check. A failed endorsement before the
-        // commit merely wastes an in-memory serial, which is safe: the
+        // stage merely wastes an in-memory serial, which is safe: the
         // accept-once property only matters for serials on issued checks.
         let endorsed = check.endorse(
             &self.name,
@@ -810,15 +879,16 @@ impl AccountingServer {
             serial,
             rng,
         )?;
-        if let Some(j) = &self.journal {
-            // Endorsement serials are accept-once identifiers at peer
-            // servers; persisting the counter's high-water mark keeps a
-            // restarted server from re-issuing a consumed serial.
-            j.commit(&JournalRecord::Forward { serial })?;
-        }
+        // Endorsement serials are accept-once identifiers at peer
+        // servers; persisting the counter's high-water mark keeps a
+        // restarted server from re-issuing a consumed serial.
+        let owed = self.stage(&JournalRecord::Forward { serial })?;
         drop(guard);
         self.maybe_compact()?;
-        Ok(endorsed)
+        Ok(Staged {
+            value: endorsed,
+            owed,
+        })
     }
 
     /// Applies a returned payment: marks the matching uncollected deposit
@@ -838,17 +908,15 @@ impl AccountingServer {
         // nothing. The deposit was credited as uncollected at deposit
         // time; finality means it stays. (A bounced check would instead
         // reverse it — see `bounce`.)
-        let mut ticket = None;
+        let mut owed = None;
         let taken =
             self.uncollected
                 .remove_if(&(payment.payor.clone(), payment.check_no), |u| {
                     debug_assert_eq!(u.amount, payment.amount);
-                    if let Some(j) = &self.journal {
-                        ticket = Some(j.stage(&JournalRecord::PaymentApplied {
-                            payor: payment.payor.clone(),
-                            check_no: payment.check_no,
-                        })?);
-                    }
+                    owed = self.stage(&JournalRecord::PaymentApplied {
+                        payor: payment.payor.clone(),
+                        check_no: payment.check_no,
+                    })?;
                     Ok::<(), AcctError>(())
                 })?;
         let applied = match taken {
@@ -867,8 +935,8 @@ impl AccountingServer {
             }
             None => false,
         };
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
+        if let Some(t) = owed {
+            self.wait_durable(t)?;
         }
         drop(guard);
         self.maybe_compact()?;
@@ -886,20 +954,18 @@ impl AccountingServer {
     /// uncollected entry is then left untouched.
     pub fn bounce(&self, payor: &PrincipalId, check_no: u64) -> Result<bool, AcctError> {
         let guard = self.op_guard()?;
-        let mut ticket = None;
+        let mut owed = None;
         let taken = self
             .uncollected
             .remove_if(&(payor.clone(), check_no), |_| {
-                if let Some(j) = &self.journal {
-                    ticket = Some(j.stage(&JournalRecord::Bounced {
-                        payor: payor.clone(),
-                        check_no,
-                    })?);
-                }
+                owed = self.stage(&JournalRecord::Bounced {
+                    payor: payor.clone(),
+                    check_no,
+                })?;
                 Ok::<(), AcctError>(())
             })?;
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
+        if let Some(t) = owed {
+            self.wait_durable(t)?;
         }
         drop(guard);
         self.maybe_compact()?;
@@ -941,12 +1007,44 @@ impl AccountingServer {
         validity: Validity,
         rng: &mut R,
     ) -> Result<Check, AcctError> {
+        let staged = self.cashiers_check_staged(
+            purchaser,
+            from_account,
+            payee,
+            check_no,
+            currency,
+            amount,
+            validity,
+            rng,
+        )?;
+        self.redeem(staged)
+    }
+
+    /// [`Self::cashiers_check`] without the durability wait; the caller
+    /// owes the returned ticket ([`Self::wait_durable`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::cashiers_check`], except that no flush failure is
+    /// reported.
+    #[allow(clippy::too_many_arguments)]
+    pub fn cashiers_check_staged<R: RngCore>(
+        &self,
+        purchaser: &PrincipalId,
+        from_account: &str,
+        payee: PrincipalId,
+        check_no: u64,
+        currency: Currency,
+        amount: u64,
+        validity: Validity,
+        rng: &mut R,
+    ) -> Result<Staged<Check>, AcctError> {
         // Ownership check + debit: atomic under the purchaser's shard
         // lock, released before the cashier pool is touched. The journal
         // record is staged inside the same critical section, after
         // validation.
         let guard = self.op_guard()?;
-        let mut ticket = None;
+        let mut owed = None;
         self.accounts.update(&from_account.to_string(), |acct| {
             let acct = acct.ok_or_else(|| AcctError::UnknownAccount(from_account.to_string()))?;
             if !acct.is_owner(purchaser) {
@@ -960,13 +1058,11 @@ impl AccountingServer {
                     available,
                 });
             }
-            if let Some(j) = &self.journal {
-                ticket = Some(j.stage(&JournalRecord::CashierPurchase {
-                    from_account: from_account.to_string(),
-                    currency: currency.clone(),
-                    amount,
-                })?);
-            }
+            owed = self.stage(&JournalRecord::CashierPurchase {
+                from_account: from_account.to_string(),
+                currency: currency.clone(),
+                amount,
+            })?;
             acct.debit(&currency, amount)
         })?;
         // Funds wait in the cashier pool until the check is collected.
@@ -976,14 +1072,11 @@ impl AccountingServer {
             || Account::new(pool_name, vec![self.name.clone()]),
             |pool| pool.credit(currency.clone(), amount),
         );
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
-        }
         drop(guard);
         self.maybe_compact()?;
         // The server can verify its own signature at collection time: its
         // verifier registered the self-key at construction.
-        Ok(crate::check::write_check(
+        let check = crate::check::write_check(
             &self.name,
             &self.authority,
             &self.name,
@@ -994,7 +1087,8 @@ impl AccountingServer {
             amount,
             validity,
             rng,
-        ))
+        );
+        Ok(Staged { value: check, owed })
     }
 
     /// Certifies a check (§4's second mechanism): places a hold on the
@@ -1017,13 +1111,37 @@ impl AccountingServer {
         validity: Validity,
         rng: &mut R,
     ) -> Result<Proxy, AcctError> {
+        let staged = self.certify_staged(
+            requester, account, check_no, currency, amount, payee, validity, rng,
+        )?;
+        self.redeem(staged)
+    }
+
+    /// [`Self::certify`] without the durability wait; the caller owes
+    /// the returned ticket ([`Self::wait_durable`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::certify`], except that no flush failure is reported.
+    #[allow(clippy::too_many_arguments)]
+    pub fn certify_staged<R: RngCore>(
+        &self,
+        requester: &PrincipalId,
+        account: &str,
+        check_no: u64,
+        currency: Currency,
+        amount: u64,
+        payee: PrincipalId,
+        validity: Validity,
+        rng: &mut R,
+    ) -> Result<Staged<Proxy>, AcctError> {
         // Ownership check + hold placement: one atomic step under the
         // account's shard lock, so concurrent certifications cannot
         // over-commit the balance. The journal record is staged inside
         // the same critical section, after validation.
         let guard = self.op_guard()?;
         let serial = self.take_serial();
-        let mut ticket = None;
+        let mut owed = None;
         self.accounts.update(&account.to_string(), |acct| {
             let acct = acct.ok_or_else(|| AcctError::UnknownAccount(account.to_string()))?;
             if !acct.is_owner(requester) {
@@ -1037,21 +1155,16 @@ impl AccountingServer {
                     available,
                 });
             }
-            if let Some(j) = &self.journal {
-                ticket = Some(j.stage(&JournalRecord::Certified {
-                    account: account.to_string(),
-                    check_no,
-                    currency: currency.clone(),
-                    amount,
-                    payee: payee.clone(),
-                    serial,
-                })?);
-            }
+            owed = self.stage(&JournalRecord::Certified {
+                account: account.to_string(),
+                check_no,
+                currency: currency.clone(),
+                amount,
+                payee: payee.clone(),
+                serial,
+            })?;
             acct.place_hold(check_no, currency.clone(), amount, payee.clone())
         })?;
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
-        }
         drop(guard);
         self.maybe_compact()?;
         let restrictions = RestrictionSet::new()
@@ -1065,14 +1178,15 @@ impl AccountingServer {
                 currency,
                 limit: amount,
             });
-        Ok(grant(
+        let proxy = grant(
             &self.name,
             &self.authority,
             restrictions,
             validity,
             serial,
             rng,
-        ))
+        );
+        Ok(Staged { value: proxy, owed })
     }
 }
 

@@ -197,10 +197,7 @@ impl Drop for Scratch {
 }
 
 fn wal_opts(fsync: FsyncMode) -> WalOptions {
-    WalOptions {
-        fsync,
-        ..WalOptions::default()
-    }
+    WalOptions { fsync }
 }
 
 /// One timed round: `threads` writers each stage-and-wait `per_thread`

@@ -22,6 +22,7 @@ pub mod field;
 pub mod scalar;
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use rand::RngCore;
 
@@ -136,23 +137,30 @@ impl std::fmt::Debug for VerifyingKey {
 
 /// An Ed25519 signing (private) key.
 ///
-/// Holds the RFC 8032 expanded secret: the clamped scalar `a` and the
-/// 32-byte `prefix` used to derive deterministic nonces. The originating
-/// seed is retained so the key can be serialized (e.g. proxy-key material
-/// crossing the wire inside a protected channel) and re-expanded on the
-/// other side.
-#[derive(Clone)]
+/// Holds the 32-byte seed and, once first needed, the RFC 8032 expanded
+/// secret derived from it: the clamped scalar `a`, the 32-byte `prefix`
+/// used to derive deterministic nonces, and the public key. Expansion
+/// (SHA-512 plus a base-point multiply) is deferred to the first
+/// [`Self::sign`] or [`Self::verifying_key`] call, so a key decoded off
+/// the wire and never used to sign (a delegate presentation) costs only
+/// its seed copy. The seed is retained so the key can be serialized
+/// (e.g. proxy-key material crossing the wire inside a protected
+/// channel) and re-expanded on the other side.
 pub struct SigningKey {
     seed: [u8; SEED_LEN],
+    expanded: OnceLock<Expanded>,
+}
+
+/// The RFC 8032 §5.1.5 expansion of a seed.
+#[derive(Clone, Copy)]
+struct Expanded {
     scalar: Scalar,
     prefix: [u8; 32],
     public: VerifyingKey,
 }
 
-impl SigningKey {
-    /// Derives a signing key from a 32-byte seed per RFC 8032 §5.1.5.
-    #[must_use]
-    pub fn from_seed(seed: &[u8; SEED_LEN]) -> Self {
+impl Expanded {
+    fn from_seed(seed: &[u8; SEED_LEN]) -> Self {
         let h = Sha512::digest(seed);
         let mut scalar_bytes: [u8; 32] = h[..32].try_into().expect("split");
         // Clamp.
@@ -164,11 +172,38 @@ impl SigningKey {
         let public_point = Point::mul_basepoint(&scalar);
         let public = VerifyingKey::from_bytes(public_point.compress());
         Self {
-            seed: *seed,
             scalar,
             prefix,
             public,
         }
+    }
+}
+
+impl Clone for SigningKey {
+    /// Expands the original first, so the original and every clone share
+    /// one expansion instead of each paying for its own on first use.
+    fn clone(&self) -> Self {
+        Self {
+            seed: self.seed,
+            expanded: OnceLock::from(*self.expanded()),
+        }
+    }
+}
+
+impl SigningKey {
+    /// A signing key for a 32-byte seed per RFC 8032 §5.1.5 (expanded
+    /// on first use).
+    #[must_use]
+    pub fn from_seed(seed: &[u8; SEED_LEN]) -> Self {
+        Self {
+            seed: *seed,
+            expanded: OnceLock::new(),
+        }
+    }
+
+    fn expanded(&self) -> &Expanded {
+        self.expanded
+            .get_or_init(|| Expanded::from_seed(&self.seed))
     }
 
     /// The 32-byte seed this key expands from (RFC 8032 private key).
@@ -190,23 +225,24 @@ impl SigningKey {
     /// The corresponding public key.
     #[must_use]
     pub fn verifying_key(&self) -> VerifyingKey {
-        self.public
+        self.expanded().public
     }
 
     /// Signs `message` (deterministic per RFC 8032).
     #[must_use]
     pub fn sign(&self, message: &[u8]) -> Signature {
+        let key = self.expanded();
         // r = H(prefix ‖ M) mod ℓ
         let mut h = Sha512::new();
-        h.update(&self.prefix);
+        h.update(&key.prefix);
         h.update(message);
         let r = Scalar::from_bytes_mod_order_wide(&h.finalize());
         let r_point = Point::mul_basepoint(&r);
         let r_bytes = r_point.compress();
         // k = H(R ‖ A ‖ M) mod ℓ
-        let k = challenge_scalar(&r_bytes, &self.public.0, message);
+        let k = challenge_scalar(&r_bytes, &key.public.0, message);
         // s = r + k·a mod ℓ
-        let s = k.mul_add(self.scalar, r);
+        let s = k.mul_add(key.scalar, r);
         let mut sig = [0u8; SIGNATURE_LEN];
         sig[..32].copy_from_slice(&r_bytes);
         sig[32..].copy_from_slice(&s.to_bytes());
@@ -216,7 +252,11 @@ impl SigningKey {
 
 impl std::fmt::Debug for SigningKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SigningKey(<redacted>, public: {:?})", self.public)
+        write!(
+            f,
+            "SigningKey(<redacted>, public: {:?})",
+            self.verifying_key()
+        )
     }
 }
 
@@ -477,6 +517,24 @@ mod tests {
         let sk = SigningKey::from_seed(&[6u8; 32]);
         assert_eq!(sk.sign(b"x").as_bytes(), sk.sign(b"x").as_bytes());
         assert_ne!(sk.sign(b"x").as_bytes(), sk.sign(b"y").as_bytes());
+    }
+
+    #[test]
+    fn expansion_waits_for_first_use_and_clones_share_it() {
+        let sk = SigningKey::from_seed(&[7u8; 32]);
+        assert!(
+            sk.expanded.get().is_none(),
+            "decoding a seed expands nothing"
+        );
+        let clone = sk.clone();
+        assert!(sk.expanded.get().is_some() && clone.expanded.get().is_some());
+        assert_eq!(clone.verifying_key(), sk.verifying_key());
+        assert_eq!(clone.sign(b"m").as_bytes(), sk.sign(b"m").as_bytes());
+        let debug = format!("{sk:?}");
+        assert!(
+            debug.contains("<redacted>") && !debug.contains("07070707"),
+            "{debug}"
+        );
     }
 
     #[test]

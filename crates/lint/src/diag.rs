@@ -19,8 +19,9 @@ pub enum Rule {
     /// L6 — lock-order: acyclic lock-acquisition graph, no blocking
     /// operations while a shard guard is live.
     LockOrder,
-    /// L7 — durability-ordering: validate → stage → wait-durable →
-    /// infallible apply, with poison-on-storage-error.
+    /// L7 — durability-ordering: validate → stage → apply, acknowledged
+    /// only after the durable ack (in the staging function or by the
+    /// caller it returns the owed ticket to), with poison-on-storage-error.
     Durability,
     /// L8 — untrusted-length taint: decoded lengths must pass a bound
     /// check before reaching allocation or indexing sinks.

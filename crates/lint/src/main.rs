@@ -56,9 +56,10 @@ const RULE_NOTES: &[(Rule, &str)] = &[
     ),
     (
         Rule::Durability,
-        "journaled mutations follow validate -> stage -> wait-durable -> infallible \
-         apply: no shard write before the record is staged, no fallible statement \
-         after the durable ack, and every durable entry point poisons on error",
+        "journaled mutations follow validate -> stage -> apply, acknowledged only after \
+         the durable ack: no shard write before the record is staged, no fallible \
+         statement after the durable ack, no staged record whose ticket is neither \
+         waited for nor returned, and every durable entry point poisons on error",
     ),
     (
         Rule::Taint,

@@ -1,8 +1,11 @@
 //! L7 — durability-ordering: every journaled mutation follows
-//! validate → `stage` → `wait`/`commit` (the durable ack) → infallible
-//! apply, and every durable entry point poisons on a storage error.
+//! validate → `stage` → apply, and its result is acknowledged only
+//! after the durable ack (`wait`/`commit`/`wait_durable`) — taken either
+//! in the staging function itself or by the caller it hands the owed
+//! ticket to (a staged body and its waiting wrapper). Every durable
+//! entry point poisons on a storage error.
 //!
-//! Three checks per function:
+//! Four checks per function:
 //!
 //! * **L7a — pre-durable state write.** A `ShardMap` mutation
 //!   (`update`/`upsert`/`remove_if` closure, `insert`/`remove`)
@@ -24,6 +27,12 @@
 //!   paths; a fallible body (contains `?` or `Err`) with no poison
 //!   reference fails. Infallible bodies (the in-memory test double) are
 //!   exempt by construction.
+//! * **L7d — dropped ticket.** Outside the journal and storage engines,
+//!   a function that stages but takes no durable ack must hand the
+//!   owed ticket to its caller: its return type names `Staged` (a
+//!   result plus the ticket it owes) or `Ticket`. Otherwise nothing
+//!   waits for the record, and the caller may acknowledge a result
+//!   that a crash would lose.
 
 use crate::callgraph::Workspace;
 use crate::diag::{Finding, Rule};
@@ -71,6 +80,8 @@ pub fn check_durability(file: &SourceFile, ws: &Workspace) -> Vec<Finding> {
         };
         let stages = marker(&["stage", "commit"]);
         let acks = marker(&["wait", "commit", "wait_durable"]);
+        let is_durable_file = file.rel_path == "crates/accounting/src/journal.rs"
+            || file.rel_path.starts_with("crates/storage/src/");
 
         // L7a — mutation strictly before the first stage.
         if let Some(&first_stage) = stages.first() {
@@ -155,8 +166,6 @@ pub fn check_durability(file: &SourceFile, ws: &Workspace) -> Vec<Finding> {
         }
 
         // L7c — durable entry points must poison on their error paths.
-        let is_durable_file = file.rel_path == "crates/accounting/src/journal.rs"
-            || file.rel_path.starts_with("crates/storage/src/");
         if is_durable_file && DURABLE_ENTRY_POINTS.contains(&inst.def.name.as_str()) {
             let fallible = (open + 1..close).any(|i| {
                 file.is_live(i)
@@ -177,6 +186,25 @@ pub fn check_durability(file: &SourceFile, ws: &Workspace) -> Vec<Finding> {
                     ),
                 ));
             }
+        }
+
+        // L7d — a staging function without an ack hands its ticket on.
+        let returns_ticket = inst
+            .def
+            .ret_text
+            .split(' ')
+            .any(|t| t == "Staged" || t == "Ticket");
+        if !is_durable_file && !stages.is_empty() && acks.is_empty() && !returns_ticket {
+            findings.push(mk(
+                file,
+                inst.def.line,
+                format!(
+                    "`{}` stages a journal record but neither waits for it nor \
+                     returns the owed ticket (`Staged`/`Ticket`) — its caller \
+                     could acknowledge a result a crash would lose",
+                    inst.def.name
+                ),
+            ));
         }
     }
     findings.sort_by_key(|f| f.line);
@@ -249,6 +277,30 @@ mod tests {
              self.apply().map_err(|e| self.poison(e))?;\n\
              Ok(()) } }");
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn staged_body_returning_its_ticket_is_the_pattern() {
+        let f = run("struct S { accounts: ShardMap<u64, u64> }\n\
+             impl S {\n\
+             fn deposit_staged(&self, j: &J) -> Result<Staged<u64>, E> {\n\
+             let mut owed = None;\n\
+             self.accounts.update(&1, |a| { owed = Some(j.stage(&r)?); *a += 1; Ok(()) })?;\n\
+             Ok(Staged { value: 1, owed }) }\n\
+             fn deposit(&self, j: &J) -> Result<u64, E> {\n\
+             let s = self.deposit_staged(j)?;\n\
+             if let Some(t) = s.owed { j.wait(t)?; }\n\
+             Ok(s.value) } }");
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn staging_without_ack_or_ticket_is_flagged() {
+        let f = run("struct S { accounts: ShardMap<u64, u64> }\n\
+             impl S { fn deposit(&self, j: &J) -> Result<u64, E> {\n\
+             self.accounts.update(&1, |a| { j.stage(&r)?; *a += 1; Ok(()) })?;\n\
+             Ok(1) } }");
+        assert!(f.iter().any(|x| x.message.contains("owed ticket")), "{f:?}");
     }
 
     #[test]

@@ -9,11 +9,34 @@
 //!            readable                     complete frames
 //!   ┌──────┐ ───────► read-accumulate ──► split_frame ──► ServiceMux
 //!   │ idle │          (bounded budget)    (borrowed body)  dispatch
-//!   └──────┘ ◄─────── flush write queue ◄─ encode replies ◄────┘
-//!      ▲     writable  (partial-write      into pooled buffer
-//!      │                resume)
-//!      └── reaped after `idle_timeout` without traffic
+//!   └──────┘                                          (stage, no wait)
+//!      ▲                                                     │
+//!      │                                              encode replies
+//!      │                                             into pooled buffer
+//!      │                                                     │
+//!      │     writable                            durability barrier
+//!      └───◄─ flush write queue ◄──────────────  (once per wakeup)
+//!            (partial-write resume)
+//!      reaped after `idle_timeout` without traffic
 //! ```
+//!
+//! ## One durability barrier per wakeup
+//!
+//! A worker handles one poller wakeup in two passes. The first pass
+//! reads and dispatches every complete frame on every ready connection
+//! through [`ServiceMux::handle_staged`]: a durable accounting request
+//! stages its journal record and applies its mutation, but does not
+//! wait for the fsync, and its reply joins the connection's write
+//! queue. Between the passes the worker makes one barrier call,
+//! [`ServiceMux::wait_durable`] on the highest ticket staged in the
+//! wakeup, which makes every record staged before it durable too. Only
+//! then does the second pass flush write queues. No reply byte leaves
+//! before the fsync covering every record staged before it
+//! (durable-before-ack), and a burst of pipelined deposits costs one
+//! fsync instead of one per deposit. If the barrier fails the journal
+//! is poisoned (fail-stop): every connection holding replies from the
+//! wakeup is closed without sending them, and later durable requests
+//! are answered `Unavailable`.
 //!
 //! * **Reads** accumulate into a per-connection buffer under a bounded
 //!   per-wakeup budget (fairness: one fast peer cannot monopolize a
@@ -21,9 +44,9 @@
 //! * **Decode** borrows frame bodies straight out of the accumulation
 //!   buffer ([`split_frame`]) — no per-request copy.
 //! * **Replies** are packed back-to-back into a pooled scratch buffer
-//!   ([`BufPool`]) and written with as few syscalls as the socket
-//!   accepts; a partial write parks a cursor and resumes on the next
-//!   writable event, across frame boundaries.
+//!   ([`BufPool`]) and written, after the wakeup's barrier, with as few
+//!   syscalls as the socket accepts; a partial write parks a cursor and
+//!   resumes on the next writable event, across frame boundaries.
 //! * **Backpressure**: a connection whose unsent reply backlog exceeds
 //!   `write_queue_cap` stops being *read* until the backlog drains below
 //!   half the cap — a client that stops reading replies stops being
@@ -40,7 +63,9 @@
 //! Error posture per connection matches the blocking server: a garbled
 //! *body* gets a typed error reply and the connection lives on; broken
 //! *framing* gets a best-effort error reply and the connection is closed
-//! once that reply flushes.
+//! once that reply flushes. A peer that hangs up or sends EOF has the
+//! requests it sent before served, and their replies flushed
+//! best-effort after the barrier, before the connection is dropped.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -50,6 +75,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use proxy_accounting::Ticket;
 use proxy_runtime::{Event, Interest, Poller};
 use proxy_wire::frame::split_frame;
 use proxy_wire::{BufPool, ErrorCode, Message, PooledBuf, WireError};
@@ -175,6 +201,8 @@ impl EventLoopServer {
                 slab: Vec::new(),
                 free: Vec::new(),
                 accept_ready: true,
+                touched: Vec::new(),
+                owed: None,
             };
             workers.push(
                 std::thread::Builder::new()
@@ -222,6 +250,11 @@ struct Conn {
     /// Framing broke: flush what is queued, then close.
     close_after_flush: bool,
     last_seen: Instant,
+    /// Replies were queued this wakeup: they wait for its barrier.
+    held: bool,
+    /// The peer hung up or sent EOF this wakeup: flush best-effort
+    /// after the barrier, then close.
+    hung_up: bool,
 }
 
 impl Conn {
@@ -252,6 +285,11 @@ struct Worker<R: KeyResolver> {
     /// only when `accept` reports `WouldBlock` — correct even when the
     /// burst cap truncates a drain.
     accept_ready: bool,
+    /// Connections to flush (or close) once this wakeup's barrier is
+    /// passed; reused across wakeups.
+    touched: Vec<usize>,
+    /// Highest journal ticket staged this wakeup: the barrier's target.
+    owed: Option<Ticket>,
 }
 
 impl<R: KeyResolver> Worker<R> {
@@ -276,6 +314,7 @@ impl<R: KeyResolver> Worker<R> {
             for ev in events.drain(..) {
                 self.dispatch_event(ev);
             }
+            self.release();
             if self.accept_ready {
                 self.accept_burst();
             }
@@ -302,21 +341,47 @@ impl<R: KeyResolver> Worker<R> {
         if self.slab.get(slot).is_none_or(Option::is_none) {
             return;
         }
-        if ev.hangup {
-            // Drain any final bytes the peer sent before the hangup so a
-            // request racing a close still gets dispatched, then drop
-            // the connection — the peer is gone either way.
-            let _ = self.on_readable(slot);
+        // A hangup still drains the peer's final bytes, so a request
+        // racing a close gets dispatched; the connection is dropped
+        // after the barrier — the peer is gone either way.
+        if (ev.readable || ev.hangup) && self.on_readable(slot) == Verdict::Close {
             self.close(slot);
             return;
         }
-        if ev.readable && self.on_readable(slot) == Verdict::Close {
-            self.close(slot);
-            return;
+        if let Some(Some(conn)) = self.slab.get_mut(slot) {
+            conn.hung_up |= ev.hangup;
+            conn.last_seen = Instant::now();
         }
-        if ev.writable && self.on_writable(slot) == Verdict::Close {
-            self.close(slot);
+        // The poller reports each connection at most once per wakeup.
+        self.touched.push(slot);
+    }
+
+    /// The wakeup's second pass: one durability barrier over every
+    /// record staged in the first pass, then the flushes. A failed
+    /// barrier closes every connection holding replies from this
+    /// wakeup without sending them.
+    fn release(&mut self) {
+        let durable = self
+            .owed
+            .take()
+            .is_none_or(|t| self.mux.wait_durable(t).is_ok());
+        let mut touched = std::mem::take(&mut self.touched);
+        for slot in touched.drain(..) {
+            let Some(Some(conn)) = self.slab.get_mut(slot) else {
+                continue;
+            };
+            let held = std::mem::take(&mut conn.held);
+            let hung_up = conn.hung_up;
+            if held && !durable {
+                self.close(slot);
+                continue;
+            }
+            // Best-effort on a peer that already went away.
+            if self.flush_and_rearm(slot) == Verdict::Close || hung_up {
+                self.close(slot);
+            }
         }
+        self.touched = touched;
     }
 
     /// Accepts up to `accept_burst` pending connections.
@@ -374,6 +439,8 @@ impl<R: KeyResolver> Worker<R> {
             paused: false,
             close_after_flush: false,
             last_seen: Instant::now(),
+            held: false,
+            hung_up: false,
         };
         if let Some(entry) = self.slab.get_mut(slot) {
             *entry = Some(conn);
@@ -383,8 +450,8 @@ impl<R: KeyResolver> Worker<R> {
         // it on the next wait, so nothing else to do here.
     }
 
-    /// Reads under the fairness budget, dispatches every complete frame,
-    /// and attempts a flush.
+    /// Reads under the fairness budget and dispatches every complete
+    /// frame; the replies wait for the wakeup's barrier.
     fn on_readable(&mut self, slot: usize) -> Verdict {
         let Some(Some(conn)) = self.slab.get_mut(slot) else {
             return Verdict::Keep;
@@ -412,28 +479,31 @@ impl<R: KeyResolver> Worker<R> {
             }
         }
         conn.last_seen = Instant::now();
+        // Serve what arrived before an EOF, then drop the connection
+        // after the barrier.
+        conn.hung_up |= saw_eof;
         self.process_frames(slot);
-        if saw_eof {
-            // Serve what arrived before the close, then drop: flush is
-            // best-effort on a peer that already went away.
-            let _ = self.flush_and_rearm(slot);
-            return Verdict::Close;
-        }
-        self.flush_and_rearm(slot)
+        Verdict::Keep
     }
 
     /// Splits and dispatches every complete frame in the accumulation
-    /// buffer, packing replies into the write queue.
+    /// buffer, packing replies into the write queue and raising the
+    /// wakeup's barrier target to every ticket they owe.
     fn process_frames(&mut self, slot: usize) {
         let Some(Some(conn)) = self.slab.get_mut(slot) else {
             return;
         };
+        let queued = conn.out.len();
         let mut consumed = 0;
         loop {
             match split_frame(conn.inbuf.get(consumed..).unwrap_or(&[])) {
                 Ok(Some((header, body, used))) => {
                     let reply = match Message::decode_body(header.msg_type, body) {
-                        Ok(request) => self.mux.handle(request, &mut conn.rng),
+                        Ok(request) => {
+                            let staged = self.mux.handle_staged(request, &mut conn.rng);
+                            self.owed = self.owed.max(staged.owed);
+                            staged.value
+                        }
                         // Framing is intact; answer the malformed body
                         // and keep the connection.
                         Err(e) => Message::Error {
@@ -475,13 +545,7 @@ impl<R: KeyResolver> Worker<R> {
         if consumed > 0 {
             conn.inbuf.drain(..consumed);
         }
-    }
-
-    fn on_writable(&mut self, slot: usize) -> Verdict {
-        if let Some(Some(conn)) = self.slab.get_mut(slot) {
-            conn.last_seen = Instant::now();
-        }
-        self.flush_and_rearm(slot)
+        conn.held |= conn.out.len() > queued;
     }
 
     /// Flushes as much of the write queue as the socket accepts, applies

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use proxy_accounting::{AccountingServer, AcctError, Check, DepositOutcome};
+use proxy_accounting::{AccountingServer, AcctError, Check, DepositOutcome, Staged, Ticket};
 use proxy_authz::{AuthorizationServer, AuthzError, EndServer, GroupServer, Request};
 use proxy_wire::{ErrorCode, Message};
 use rand::RngCore;
@@ -20,6 +20,12 @@ use restricted_proxy::prelude::{KeyResolver, MapResolver};
 /// mapped onto typed [`Message::Error`] replies — a remote peer can
 /// never distinguish "service threw an error" from any other denial
 /// except through the [`ErrorCode`].
+///
+/// A durable accounting request's reply may leave only once its journal
+/// record is durable. [`Self::handle`] waits for that per request;
+/// [`Self::handle_staged`] hands the wait to the caller, so a server
+/// answering many requests at once can cover them all with one
+/// [`Self::wait_durable`] call before it sends any of the replies.
 pub struct ServiceMux<R: KeyResolver = MapResolver> {
     authz: Option<Arc<AuthorizationServer<R>>>,
     end: Option<Arc<EndServer<R>>>,
@@ -75,9 +81,39 @@ impl<R: KeyResolver> ServiceMux<R> {
         self
     }
 
-    /// Serves one request, always returning a reply message.
+    /// Serves one request, always returning a reply message. A durable
+    /// request's reply is returned once its journal record is durable.
     pub fn handle<G: RngCore>(&self, request: Message, rng: &mut G) -> Message {
-        match request {
+        let staged = self.handle_staged(request, rng);
+        match staged.owed.map(|t| self.wait_durable(t)) {
+            Some(Err(e)) => acct_error(&e),
+            Some(Ok(())) | None => staged.value,
+        }
+    }
+
+    /// Blocks until `ticket`, and every journal record staged before it,
+    /// is durable: the barrier covering replies from
+    /// [`Self::handle_staged`].
+    ///
+    /// # Errors
+    ///
+    /// [`AcctError::Storage`] when the flush fails. The accounting
+    /// journal is then poisoned (fail-stop): none of the replies the
+    /// barrier covers may be sent, and later durable requests are
+    /// answered [`ErrorCode::Unavailable`].
+    pub fn wait_durable(&self, ticket: Ticket) -> Result<(), AcctError> {
+        match &self.accounting {
+            Some(acct) => acct.wait_durable(ticket),
+            None => Ok(()),
+        }
+    }
+
+    /// Serves one request without waiting for durability: the reply,
+    /// plus the journal ticket that must be durable
+    /// ([`Self::wait_durable`]) before the reply may be sent.
+    pub fn handle_staged<G: RngCore>(&self, request: Message, rng: &mut G) -> Staged<Message> {
+        let mut owed = None;
+        let value = match request {
             Message::AuthzQuery {
                 client,
                 presentations,
@@ -173,7 +209,7 @@ impl<R: KeyResolver> ServiceMux<R> {
                 validity,
             } => match &self.accounting {
                 None => unavailable("no accounting server mounted"),
-                Some(acct) => match acct.cashiers_check(
+                Some(acct) => match acct.cashiers_check_staged(
                     &purchaser,
                     &from_account,
                     payee,
@@ -183,7 +219,9 @@ impl<R: KeyResolver> ServiceMux<R> {
                     validity,
                     rng,
                 ) {
-                    Ok(check) => Message::CheckWritten { check: check.proxy },
+                    Ok(check) => Message::CheckWritten {
+                        check: owe(&mut owed, check).proxy,
+                    },
                     Err(e) => acct_error(&e),
                 },
             },
@@ -197,7 +235,10 @@ impl<R: KeyResolver> ServiceMux<R> {
                 None => unavailable("no accounting server mounted"),
                 Some(acct) => {
                     let check = Check { proxy: check };
-                    match acct.deposit(&check, &depositor, &to_account, next_hop, now, rng) {
+                    match acct
+                        .deposit_staged(&check, &depositor, &to_account, next_hop, now, rng)
+                        .map(|staged| owe(&mut owed, staged))
+                    {
                         Ok(DepositOutcome::Settled(payment)) => Message::CheckSettled {
                             payor: payment.payor,
                             check_no: payment.check_no,
@@ -218,9 +259,9 @@ impl<R: KeyResolver> ServiceMux<R> {
                 None => unavailable("no accounting server mounted"),
                 Some(acct) => {
                     let check = Check { proxy: check };
-                    match acct.forward(&check, next_hop, rng) {
+                    match acct.forward_staged(&check, next_hop, rng) {
                         Ok(endorsed) => Message::CheckEndorsed {
-                            check: endorsed.proxy,
+                            check: owe(&mut owed, endorsed).proxy,
                         },
                         Err(e) => acct_error(&e),
                     }
@@ -236,10 +277,12 @@ impl<R: KeyResolver> ServiceMux<R> {
                 validity,
             } => match &self.accounting {
                 None => unavailable("no accounting server mounted"),
-                Some(acct) => match acct.certify(
+                Some(acct) => match acct.certify_staged(
                     &requester, &account, check_no, currency, amount, payee, validity, rng,
                 ) {
-                    Ok(proxy) => Message::CheckCertified { proxy },
+                    Ok(proxy) => Message::CheckCertified {
+                        proxy: owe(&mut owed, proxy),
+                    },
                     Err(e) => acct_error(&e),
                 },
             },
@@ -258,8 +301,15 @@ impl<R: KeyResolver> ServiceMux<R> {
                 code: ErrorCode::BadRequest,
                 detail: "reply message sent as a request".to_string(),
             },
-        }
+        };
+        Staged { value, owed }
     }
+}
+
+/// Takes a staged result's value, moving the ticket it owes into `owed`.
+fn owe<T>(owed: &mut Option<Ticket>, staged: Staged<T>) -> T {
+    *owed = staged.owed;
+    staged.value
 }
 
 fn unavailable(detail: &str) -> Message {

@@ -32,7 +32,10 @@
 //! commits the in-memory mutation (making log order agree with memory
 //! order for non-commuting operations) and then pay the fsync wait
 //! outside the lock, where the group-commit batcher amortizes it across
-//! concurrent requests.
+//! concurrent requests. A record is durable only with every record
+//! staged before it, so one wait on the highest of many tickets covers
+//! them all: the event-loop server acknowledges a whole wakeup's
+//! requests behind one such wait.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -166,9 +169,10 @@ pub trait Storage: Send + Sync + fmt::Debug {
     /// backend, or an injected crash point.
     fn stage(&self, record: &[u8]) -> Result<Ticket, StorageError>;
 
-    /// Blocks until the ticketed record is durable under the backend's
-    /// fsync policy. For [`WalStorage`] in group-commit mode this is
-    /// where the leader/follower flush happens.
+    /// Blocks until the ticketed record, and every record staged before
+    /// it, is durable under the backend's fsync policy. For
+    /// [`WalStorage`] in group-commit mode this is where the
+    /// leader/follower flush happens.
     ///
     /// # Errors
     ///

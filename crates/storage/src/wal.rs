@@ -24,14 +24,16 @@
 //! `fsync` dominates the append path (~100µs+ on common filesystems), so
 //! [`FsyncMode::GroupCommit`] amortizes it with the leader/follower
 //! protocol of `restricted_proxy::batcher::SealBatcher`: the first
-//! waiter that finds no flush in progress becomes the **leader**. If it
-//! is alone it flushes inline (a lone client pays one fsync, no added
-//! latency); otherwise it lingers — bounded by `flush_wait`, broken the
-//! moment the batch fills (`batch_max`) or an arrival-free linger slice
-//! says the burst is over — then takes the whole buffer and flushes it
-//! under a single fsync. **Followers** park until the leader publishes
-//! durability, re-checking on a timeout so a stalled leader's batch is
-//! rescued rather than wedged.
+//! waiter that finds no flush in progress becomes the **leader**, takes
+//! the whole buffer at once and flushes it under a single fsync — no
+//! linger, so a lone client pays one fsync and no added latency.
+//! Records staged while that fsync runs accumulate behind it, and the
+//! next leader flushes them together. **Followers** park until the
+//! leader publishes durability, re-checking on a timeout so a stalled
+//! leader's batch is rescued rather than wedged. A caller that stages
+//! many records and then waits once on the highest ticket (the event
+//! loop's per-wakeup durability barrier) gets the whole run under one
+//! fsync by itself, with no concurrent waiters at all.
 //!
 //! ## Failure policy
 //!
@@ -46,23 +48,10 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::log::{frame_into, scan_segment};
 use crate::{CorruptKind, Recovered, Storage, StorageError, Ticket, MAX_RECORD};
-
-/// Default flush threshold: a batch this large stops lingering and goes
-/// to disk.
-pub const DEFAULT_BATCH_MAX: usize = 16;
-
-/// Default bound on how long a group-commit leader lingers for the
-/// batch to fill before flushing a partial batch.
-pub const DEFAULT_FLUSH_WAIT: Duration = Duration::from_millis(1);
-
-/// A lingering leader samples arrivals in slices of this length; a
-/// slice with no new arrivals ends the linger early (the burst is over,
-/// waiting longer only adds latency).
-const LINGER_SLICE: Duration = Duration::from_micros(100);
 
 /// How long a follower parks before re-checking whether it must rescue
 /// the batch itself.
@@ -86,18 +75,12 @@ pub enum FsyncMode {
 pub struct WalOptions {
     /// Durability policy for appended records.
     pub fsync: FsyncMode,
-    /// Records per flush at which a lingering leader stops waiting.
-    pub batch_max: usize,
-    /// Upper bound on the leader's linger for a partial batch.
-    pub flush_wait: Duration,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
         Self {
             fsync: FsyncMode::GroupCommit,
-            batch_max: DEFAULT_BATCH_MAX,
-            flush_wait: DEFAULT_FLUSH_WAIT,
         }
     }
 }
@@ -134,8 +117,6 @@ pub struct WalStorage {
     dir: PathBuf,
     opts: WalOptions,
     state: Mutex<WalState>,
-    /// Wakes a lingering leader on arrivals.
-    arrivals: Condvar,
     /// Wakes followers when durability advances or leadership frees.
     completed: Condvar,
     file: Mutex<WalFile>,
@@ -246,7 +227,6 @@ impl WalStorage {
             dir,
             opts,
             state: Mutex::new(WalState::default()),
-            arrivals: Condvar::new(),
             completed: Condvar::new(),
             file: Mutex::new(WalFile { file, gen }),
             torn_at_open: scan.torn_tail,
@@ -304,40 +284,6 @@ impl WalStorage {
         Ok(())
     }
 
-    /// Leader linger: wait (bounded) for the batch to fill. Returns with
-    /// the state lock re-held. Inline at low load: a leader whose record
-    /// is alone in the buffer flushes immediately.
-    fn linger<'a>(&self, mut st: MutexGuard<'a, WalState>) -> MutexGuard<'a, WalState> {
-        if self.opts.fsync != FsyncMode::GroupCommit || self.opts.flush_wait.is_zero() {
-            return st;
-        }
-        if st.staged - st.durable <= 1 {
-            return st;
-        }
-        let deadline = Instant::now() + self.opts.flush_wait;
-        loop {
-            let pending = st.staged - st.durable;
-            if pending >= self.opts.batch_max as u64 || st.poison.is_some() {
-                return st;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return st;
-            }
-            let slice = LINGER_SLICE.min(deadline - now);
-            let (guard, _timeout) = self
-                .arrivals
-                .wait_timeout(st, slice)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-            if st.staged - st.durable == pending {
-                // An arrival-free slice: the burst is over, flush now
-                // rather than burn the rest of the deadline on latency.
-                return st;
-            }
-        }
-    }
-
     /// Synchronous write+fsync of everything buffered, holding the state
     /// lock. Used by the per-record mode and the injected crash point
     /// (which must make the doomed record durable before "dying").
@@ -393,9 +339,7 @@ impl Storage for WalStorage {
             }
             return Ok(Ticket(ticket));
         }
-        // Group-commit / no-fsync: buffered; a lingering leader may be
-        // waiting for exactly this arrival.
-        self.arrivals.notify_one();
+        // Group-commit / no-fsync: buffered until a waiter flushes it.
         Ok(Ticket(ticket))
     }
 
@@ -411,9 +355,8 @@ impl Storage for WalStorage {
                 return Ok(());
             }
             if !st.flushing {
-                // Lead: linger for the batch, then flush it.
+                // Lead: flush everything buffered so far.
                 st.flushing = true;
-                st = self.linger(st);
                 let batch = std::mem::take(&mut st.buf);
                 let upto = st.staged;
                 drop(st);
@@ -590,7 +533,6 @@ mod tests {
         // Unit tests exercise logic, not the platter.
         WalOptions {
             fsync: FsyncMode::NoFsync,
-            ..WalOptions::default()
         }
     }
 
@@ -732,8 +674,6 @@ mod tests {
                 &dir,
                 WalOptions {
                     fsync: FsyncMode::GroupCommit,
-                    batch_max: 8,
-                    flush_wait: Duration::from_millis(1),
                 },
             )
             .unwrap(),
@@ -805,6 +745,27 @@ mod tests {
     }
 
     #[test]
+    fn one_wait_on_the_highest_ticket_covers_every_earlier_record() {
+        let dir = tmpdir("barrier");
+        {
+            let w = WalStorage::open(&dir, no_fsync()).unwrap();
+            let tickets: Vec<Ticket> = (0..16u8).map(|i| w.stage(&[i]).unwrap()).collect();
+            let last = *tickets.last().unwrap();
+            w.wait_durable(last).unwrap();
+            assert!(
+                w.state_guard().buf.is_empty(),
+                "one flush took the whole run"
+            );
+            for t in tickets {
+                w.wait_durable(t).unwrap();
+            }
+        }
+        let w = WalStorage::open(&dir, no_fsync()).unwrap();
+        let want: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i]).collect();
+        assert_eq!(w.load().unwrap().records, want);
+    }
+
+    #[test]
     fn crash_before_appends_drops_the_record() {
         let dir = tmpdir("crash-before");
         {
@@ -835,7 +796,6 @@ mod tests {
             &dir,
             WalOptions {
                 fsync: FsyncMode::PerRecord,
-                ..WalOptions::default()
             },
         )
         .unwrap();
